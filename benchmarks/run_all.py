@@ -420,6 +420,7 @@ def run_one(
         base_path=scenario.base_path,
         **kwargs,
     )
+    compile_seconds = time.perf_counter() - started
     result = reasoner.reason(
         database=scenario.database, outputs=scenario.outputs, trace=trace
     )
@@ -428,6 +429,9 @@ def run_one(
     row = {
         "executor": executor,
         "elapsed_seconds": round(elapsed, 4),
+        # Reasoner construction alone (parse, optimize, plan, schedule,
+        # join plans); ``elapsed_seconds`` includes it.
+        "compile_seconds": round(compile_seconds, 4),
         "total_facts": total_facts,
         "derived_facts": len(result.chase.derived_facts()),
         "facts_per_second": round(total_facts / elapsed, 1) if elapsed > 0 else None,

@@ -106,15 +106,21 @@ class NullFlowGraph:
         return reached
 
     def causes_for(self, positions: Set[Position]) -> List[DirectCause]:
+        """Direct causes of ``positions``, in ``(predicate, index)`` order."""
         causes: List[DirectCause] = []
         seen: Set[Tuple[str, str]] = set()
-        for position in positions:
+        for position in _canonical(positions):
             for cause in self.creators.get(position, []):
                 key = (cause.rule.label, cause.existential.name)
                 if key not in seen:
                     seen.add(key)
                     causes.append(cause)
         return causes
+
+
+def _canonical(positions: Set[Position]) -> List[Position]:
+    """``positions`` in ``(predicate, index)`` order, independent of set hashing."""
+    return sorted(positions, key=lambda p: (p.predicate, p.index))
 
 
 def build_null_flow_graph(program: Program, analysis: Optional[ProgramAnalysis] = None) -> NullFlowGraph:
@@ -194,9 +200,9 @@ class HarmfulJoinEliminationResult:
 class HarmfulJoinEliminator:
     """Rewrites a warded program into an equivalent harmless warded program."""
 
-    def __init__(self, program: Program) -> None:
+    def __init__(self, program: Program, analysis: Optional[ProgramAnalysis] = None) -> None:
         self.program = program
-        self.analysis = analyse_program(program)
+        self.analysis = analysis if analysis is not None else analyse_program(program)
 
     def eliminate(self) -> HarmfulJoinEliminationResult:
         """Run the rewriting; raises :class:`UnsupportedHarmfulJoin` if needed."""
@@ -348,8 +354,9 @@ class HarmfulJoinEliminator:
         )
         names.append(creation_atom.predicate)
 
-        # Propagation: mirror every propagation step between reachable positions.
-        for target in reachable:
+        # Propagation: mirror every propagation step between reachable
+        # positions, in canonical order so the output is hash-seed independent.
+        for target in _canonical(reachable):
             for step in flow.propagations.get(target, []):
                 if step.source not in reachable:
                     continue
@@ -471,9 +478,15 @@ class HarmfulJoinEliminator:
         ]
 
 
-def eliminate_harmful_joins(program: Program) -> HarmfulJoinEliminationResult:
-    """Convenience wrapper around :class:`HarmfulJoinEliminator`."""
-    return HarmfulJoinEliminator(program).eliminate()
+def eliminate_harmful_joins(
+    program: Program, analysis: Optional[ProgramAnalysis] = None
+) -> HarmfulJoinEliminationResult:
+    """Convenience wrapper around :class:`HarmfulJoinEliminator`.
+
+    ``analysis`` reuses a wardedness analysis of ``program`` the caller
+    already holds instead of running a second one.
+    """
+    return HarmfulJoinEliminator(program, analysis).eliminate()
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,24 @@ class PlanNode:
 
 @dataclass
 class ReasoningAccessPlan:
-    """The compiled pipeline: nodes, pipes and derived structural information."""
+    """The compiled pipeline: nodes, pipes and derived structural information.
+
+    ``add_edge`` keeps successor and predecessor lists (in edge-insertion
+    order) next to the edge list, so neighbourhood queries cost O(degree)
+    and a strongly-connected-component pass costs O(V + E).
+    """
 
     nodes: List[PlanNode] = field(default_factory=list)
     edges: List[Tuple[str, str]] = field(default_factory=list)
     node_by_name: Dict[str, PlanNode] = field(default_factory=dict)
+    _edge_set: Set[Tuple[str, str]] = field(default_factory=set, init=False, repr=False)
+    _successors: Dict[str, List[str]] = field(default_factory=dict, init=False, repr=False)
+    _predecessors: Dict[str, List[str]] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        given, self.edges = self.edges, []
+        for source, target in given:
+            self.add_edge(source, target)
 
     def add_node(self, node: PlanNode) -> None:
         if node.name in self.node_by_name:
@@ -57,15 +70,19 @@ class ReasoningAccessPlan:
 
     def add_edge(self, source: str, target: str) -> None:
         edge = (source, target)
-        if edge not in self.edges:
-            self.edges.append(edge)
+        if edge in self._edge_set:
+            return
+        self._edge_set.add(edge)
+        self.edges.append(edge)
+        self._successors.setdefault(source, []).append(target)
+        self._predecessors.setdefault(target, []).append(source)
 
     # -- structure ---------------------------------------------------------------
     def successors(self, name: str) -> List[str]:
-        return [t for s, t in self.edges if s == name]
+        return list(self._successors.get(name, ()))
 
     def predecessors(self, name: str) -> List[str]:
-        return [s for s, t in self.edges if t == name]
+        return list(self._predecessors.get(name, ()))
 
     def sources(self) -> List[PlanNode]:
         return [n for n in self.nodes if n.kind == "source"]
@@ -84,6 +101,7 @@ class ReasoningAccessPlan:
         index: Dict[str, int] = {}
         on_stack: Set[str] = set()
         components: List[List[str]] = []
+        successors = self._successors
 
         def strongconnect(node: str) -> None:
             index[node] = index_counter[0]
@@ -91,7 +109,7 @@ class ReasoningAccessPlan:
             index_counter[0] += 1
             stack.append(node)
             on_stack.add(node)
-            for successor in self.successors(node):
+            for successor in successors.get(node, ()):
                 if successor not in index:
                     strongconnect(successor)
                     lowlinks[node] = min(lowlinks[node], lowlinks[successor])
@@ -112,36 +130,52 @@ class ReasoningAccessPlan:
                 strongconnect(node)
         return components
 
-    def recursive_components(self) -> List[List[str]]:
-        """Components containing a cycle (≥ 2 nodes, or a self-loop)."""
-        recursive = []
-        for component in self.strongly_connected_components():
-            if len(component) > 1:
-                recursive.append(component)
-            elif (component[0], component[0]) in self.edges:
-                recursive.append(component)
-        return recursive
+    def recursive_components(
+        self, components: Optional[List[List[str]]] = None
+    ) -> List[List[str]]:
+        """Components containing a cycle (≥ 2 nodes, or a self-loop).
+
+        ``components`` reuses an earlier :meth:`strongly_connected_components`
+        result instead of running Tarjan again.
+        """
+        if components is None:
+            components = self.strongly_connected_components()
+        return [
+            component
+            for component in components
+            if len(component) > 1 or (component[0], component[0]) in self._edge_set
+        ]
 
     def has_cycles(self) -> bool:
         return bool(self.recursive_components())
 
-    def topological_rule_order(self, program: Program) -> List[Rule]:
+    def topological_rule_order(
+        self, program: Program, components: Optional[List[List[str]]] = None
+    ) -> List[Rule]:
         """Rules ordered so producers come before consumers where possible.
 
         The condensation of the plan graph is acyclic; rules are emitted
         component by component in topological order, preserving the original
         program order inside each (possibly recursive) component.
+        ``components`` is as in :meth:`recursive_components`.
         """
-        components = self.strongly_connected_components()  # reverse topological
+        if components is None:
+            components = self.strongly_connected_components()  # reverse topological
         component_of: Dict[str, int] = {}
         for position, component in enumerate(components):
             for name in component:
                 component_of[name] = position
         rules_by_label = {rule.label: rule for rule in program.rules}
+        program_position: Dict[Rule, int] = {}
+        for position, rule in enumerate(program.rules):
+            program_position.setdefault(rule, position)  # as list.index: first equal rule
         labelled_nodes = [n for n in self.nodes if n.kind == "rule"]
         ordered_nodes = sorted(
             labelled_nodes,
-            key=lambda n: (-component_of.get(n.name, 0), program.rules.index(rules_by_label[n.rule_label])),
+            key=lambda n: (
+                -component_of.get(n.name, 0),
+                program_position[rules_by_label[n.rule_label]],
+            ),
         )
         return [rules_by_label[n.rule_label] for n in ordered_nodes if n.rule_label in rules_by_label]
 

@@ -303,17 +303,12 @@ class VadalogReasoner:
         self._magic_cache: Dict[Tuple[str, Tuple], _RunSpec] = {}
 
         self.program = self._optimize(self.original_program)
-        self.analysis = analyse_program(self.program)
-        self.plan = compile_plan(self.program)
-        self.scheduler = RoundRobinScheduler(self.plan, self.program)
-        self.scheduler_report = self.scheduler.schedule()
-        self._order_rules(self.scheduler_report)
-        # Step 4a (query compiler): compile every rule body into its
-        # slot-machine join plan once; reasoning runs reuse the plans.  The
-        # streaming pipeline executes the same plans incrementally.
-        self.join_plans: Dict[int, RuleJoinPlan] = (
-            compile_join_plans(self.program) if executor != "naive" else {}
-        )
+        (
+            self.analysis,
+            self.plan,
+            self.scheduler_report,
+            self.join_plans,
+        ) = _compile(self.program, join_plans=executor != "naive")
 
     # -------------------------------------------------------------- compilation
     def _optimize(self, program: Program) -> Program:
@@ -327,7 +322,7 @@ class VadalogReasoner:
             )
         if self.eliminate_harmful and analysis.has_harmful_joins:
             try:
-                rewriting = eliminate_harmful_joins(optimized)
+                rewriting = eliminate_harmful_joins(optimized, analysis=analysis)
                 self.harmful_join_rewriting = rewriting
                 optimized = rewriting.program
             except UnsupportedHarmfulJoin as exc:
@@ -338,11 +333,6 @@ class VadalogReasoner:
         if self.normalize:
             optimized = normalize_for_chase(optimized)
         return optimized
-
-    def _order_rules(self, report: SchedulerReport) -> None:
-        """Step 3: the execution optimizer fixes the round-robin rule order."""
-        if report.rule_order and len(report.rule_order) == len(self.program.rules):
-            self.program.rules = list(report.rule_order)
 
     def _make_strategy(self) -> TerminationStrategy:
         if isinstance(self._strategy_spec, TerminationStrategy):
@@ -723,16 +713,13 @@ class VadalogReasoner:
         base.rewriting = rewriting
         if rewriting.changed:
             program = rewriting.program
-            plan = compile_plan(program)
-            report = RoundRobinScheduler(plan, program).schedule()
-            if report.rule_order and len(report.rule_order) == len(program.rules):
-                program.rules = list(report.rule_order)
+            analysis, _plan, _report, join_plans = _compile(
+                program, join_plans=self.executor != "naive"
+            )
             base = _RunSpec(
                 program=program,
-                analysis=analyse_program(program),
-                join_plans=(
-                    compile_join_plans(program) if self.executor != "naive" else {}
-                ),
+                analysis=analysis,
+                join_plans=join_plans,
                 outputs=[query_atom.predicate],
                 seeds=list(rewriting.seeds),
                 query_atom=query_atom,
@@ -902,6 +889,25 @@ class VadalogReasoner:
             + ", ".join(f"{k}={v}" for k, v in self.scheduler_report.stats().items())
         )
         return "\n".join(lines)
+
+
+def _compile(
+    program: Program, join_plans: bool
+) -> Tuple[ProgramAnalysis, ReasoningAccessPlan, SchedulerReport, Dict[int, RuleJoinPlan]]:
+    """Steps 2-4a for an optimized program, shared by construction and magic runs.
+
+    Analyses the program, compiles its reasoning access plan (step 2), lets
+    the round-robin scheduler fix the rule order in place (step 3), then
+    compiles every rule body into its slot-machine join plan (step 4a) —
+    reasoning runs, and the streaming pipeline, reuse those plans.
+    ``join_plans=False`` (the naive executor) skips step 4a.
+    """
+    analysis = analyse_program(program)
+    plan = compile_plan(program)
+    report = RoundRobinScheduler(plan, program).schedule()
+    if report.rule_order and len(report.rule_order) == len(program.rules):
+        program.rules = list(report.rule_order)
+    return analysis, plan, report, compile_join_plans(program) if join_plans else {}
 
 
 def _filter_answers(answers: AnswerSet, query_atom: Atom) -> AnswerSet:

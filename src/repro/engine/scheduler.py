@@ -72,8 +72,9 @@ class RoundRobinScheduler:
     def schedule(self) -> SchedulerReport:
         """Compute the round-robin rule order and trace one pull sweep."""
         report = SchedulerReport()
-        report.rule_order = self.plan.topological_rule_order(self.program)
-        report.recursive_components = len(self.plan.recursive_components())
+        components = self.plan.strongly_connected_components()
+        report.rule_order = self.plan.topological_rule_order(self.program, components)
+        report.recursive_components = len(self.plan.recursive_components(components))
         self._trace_pull(report)
         return report
 
@@ -88,15 +89,20 @@ class RoundRobinScheduler:
         real miss.
         """
         for sink in self.plan.sinks():
-            self._pull(sink.name, [], report, set())
+            self._pull(sink.name, set(), report, set())
 
     def _pull(
         self,
         node_name: str,
-        stack: List[str],
+        stack: Set[str],
         report: SchedulerReport,
         satisfied: Set[str],
     ) -> bool:
+        """Pull ``node_name`` on behalf of the callers in ``stack``.
+
+        The node joins ``stack`` only around its own recursive pulls, so a
+        self-loop is pulled once before it misses cyclically.
+        """
         node = self.plan.node_by_name[node_name]
         if node.kind == "source":
             return True
@@ -106,6 +112,7 @@ class RoundRobinScheduler:
         if not predecessors:
             report.real_misses += 1
             return False
+        pushed = node_name not in stack
         any_answer = False
         for predecessor in predecessors:
             if predecessor in stack:
@@ -113,7 +120,11 @@ class RoundRobinScheduler:
                 report.cyclic_misses += 1
                 continue
             report.events.append(PullEvent(node_name, predecessor, "next"))
-            answered = self._pull(predecessor, stack + [node_name], report, satisfied)
+            if pushed:
+                stack.add(node_name)
+            answered = self._pull(predecessor, stack, report, satisfied)
+            if pushed:
+                stack.discard(node_name)
             any_answer = any_answer or answered
         if any_answer:
             satisfied.add(node_name)

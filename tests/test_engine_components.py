@@ -8,10 +8,12 @@ from repro.core.parser import parse_program
 from repro.core.termination import TrivialIsomorphismStrategy
 from repro.engine.buffer import BufferCache, BufferSegment
 from repro.engine.joins import JoinInput, SlotMachineJoin, hash_join
-from repro.engine.plan import compile_plan
-from repro.engine.scheduler import RoundRobinScheduler
+from repro.engine.plan import PlanNode, ReasoningAccessPlan, compile_plan
+from repro.engine.reasoner import VadalogReasoner
+from repro.engine.scheduler import PullEvent, RoundRobinScheduler
 from repro.engine.wrappers import TerminationWrapper, WrapperRegistry
 from repro.storage.index import HashIndex
+from repro.workloads import rule_count_scenario
 
 RECURSIVE_PROGRAM = parse_program(
     """
@@ -57,6 +59,57 @@ class TestPlan:
         text = plan.describe()
         assert "source:" in text and "sink:" in text
 
+    @pytest.mark.parametrize("shape", ["recursive", "acyclic", "composed-iwarded"])
+    def test_neighbours_match_edge_list_scan(self, shape):
+        if shape == "recursive":
+            plan = compile_plan(RECURSIVE_PROGRAM)
+        elif shape == "acyclic":
+            plan = compile_plan(parse_program("B(X) :- A(X).\nC(X) :- B(X), A(X)."))
+        else:
+            scenario = rule_count_scenario(2, facts_per_predicate=2)
+            plan = VadalogReasoner(scenario.program.copy()).plan
+        assert len(plan.edges) == len(set(plan.edges))
+        for node in plan.nodes:
+            # Reference: the plain edge-list scan, in edge-insertion order.
+            assert plan.successors(node.name) == [t for s, t in plan.edges if s == node.name]
+            assert plan.predecessors(node.name) == [s for s, t in plan.edges if t == node.name]
+
+    @staticmethod
+    def _two_node_plan():
+        plan = ReasoningAccessPlan()
+        plan.add_node(PlanNode(name="rule:a", kind="rule", rule_label="a"))
+        plan.add_node(PlanNode(name="rule:b", kind="rule", rule_label="b"))
+        return plan
+
+    def test_duplicate_edge_is_ignored(self):
+        plan = self._two_node_plan()
+        plan.add_edge("rule:a", "rule:b")
+        plan.add_edge("rule:a", "rule:b")
+        assert plan.edges == [("rule:a", "rule:b")]
+        assert plan.successors("rule:a") == ["rule:b"]
+        assert plan.predecessors("rule:b") == ["rule:a"]
+
+    def test_returned_neighbour_lists_are_copies(self):
+        plan = self._two_node_plan()
+        plan.add_edge("rule:a", "rule:b")
+        plan.successors("rule:a").append("rule:a")
+        plan.predecessors("rule:b").clear()
+        assert plan.successors("rule:a") == ["rule:b"]
+        assert plan.predecessors("rule:b") == ["rule:a"]
+        assert not plan.has_cycles()
+
+    def test_self_loop_is_recursive(self):
+        plan = self._two_node_plan()
+        plan.add_edge("rule:a", "rule:b")
+        plan.add_edge("rule:b", "rule:b")
+        assert plan.recursive_components() == [["rule:b"]]
+        assert plan.has_cycles()
+
+    def test_edges_given_at_construction_are_indexed(self):
+        plan = ReasoningAccessPlan(edges=[("x", "y"), ("x", "y"), ("y", "x")])
+        assert plan.edges == [("x", "y"), ("y", "x")]
+        assert plan.successors("y") == ["x"]
+
 
 class TestScheduler:
     def test_round_robin_schedule_stats(self):
@@ -67,6 +120,54 @@ class TestScheduler:
         assert stats["recursive_components"] == 1
         # The recursive rule pulling from itself produces a cyclic miss event.
         assert stats["cyclic_misses"] >= 1
+
+    def test_recursive_program_pull_events_pinned(self):
+        plan = compile_plan(RECURSIVE_PROGRAM)
+        report = RoundRobinScheduler(plan, RECURSIVE_PROGRAM).schedule()
+        # The recursive rule r2 first pulls itself once (it is not yet on the
+        # invocation stack), and only the nested pull misses cyclically.
+        assert report.events == [
+            PullEvent("sink:T", "rule:r1", "next"),
+            PullEvent("rule:r1", "source:E", "next"),
+            PullEvent("sink:T", "rule:r2", "next"),
+            PullEvent("rule:r2", "rule:r1", "next"),
+            PullEvent("rule:r2", "rule:r2", "next"),
+            PullEvent("rule:r2", "rule:r1", "next"),
+            PullEvent("rule:r2", "rule:r2", "cyclic-miss"),
+            PullEvent("rule:r2", "source:E", "next"),
+            PullEvent("rule:r2", "source:E", "next"),
+        ]
+        assert report.stats() == {
+            "rules": 2,
+            "pull_events": 9,
+            "cyclic_misses": 1,
+            "real_misses": 0,
+            "recursive_components": 1,
+        }
+
+    @pytest.mark.parametrize("harmful", [False, True])
+    def test_construction_runs_wardedness_analysis_twice(self, harmful, monkeypatch):
+        from repro.core import harmful_joins
+        from repro.engine import reasoner as reasoner_module
+
+        calls = []
+        original = reasoner_module.analyse_program
+
+        def counting(program):
+            calls.append(program)
+            return original(program)
+
+        monkeypatch.setattr(reasoner_module, "analyse_program", counting)
+        monkeypatch.setattr(harmful_joins, "analyse_program", counting)
+        if harmful:
+            program = rule_count_scenario(2, facts_per_predicate=2).program.copy()
+        else:
+            program = RECURSIVE_PROGRAM.copy()
+        reasoner = VadalogReasoner(program)
+        assert (reasoner.harmful_join_rewriting is not None) == harmful
+        # Once in the optimizer (reused by the harmful-join eliminator), once
+        # on the optimized program.
+        assert len(calls) == 2
 
     def test_non_recursive_program_has_no_cyclic_miss(self):
         program = parse_program("@output(\"B\").\nB(X) :- A(X).")

@@ -1,6 +1,14 @@
 """Tests for the logic-optimizer rewritings and harmful-join elimination."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.core.atoms import fact
 from repro.core.chase import run_chase
@@ -186,6 +194,41 @@ class TestHarmfulJoinElimination:
         )
         with pytest.raises(UnsupportedHarmfulJoin):
             HarmfulJoinEliminator(program).eliminate()
+
+
+#: Compiles a synthB-shaped iWarded program (harmful joins, two composed
+#: blocks) and prints the compiled rule text and the pull events as JSON.
+_COMPILE_SCRIPT = """
+import json
+from repro import VadalogReasoner
+from repro.workloads import rule_count_scenario
+reasoner = VadalogReasoner(rule_count_scenario(2, facts_per_predicate=2).program)
+assert reasoner.harmful_join_rewriting.changed
+print(json.dumps({
+    "rules": [str(rule) for rule in reasoner.program.rules],
+    "events": [[e.caller, e.callee, e.kind] for e in reasoner.scheduler_report.events],
+}))
+"""
+
+
+def test_harmful_join_compile_is_hash_seed_independent():
+    """The rewritten program and its pull events are identical under any
+    ``PYTHONHASHSEED``: the eliminator iterates positions canonically."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _COMPILE_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0]["rules"] and outputs[0]["events"]
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 class TestSkolemSimplification:

@@ -26,6 +26,16 @@ Usage::
     python tools/check_bench.py --service-throughput --update-baseline
     python tools/check_bench.py --scaling-curves
     python tools/check_bench.py --scaling-curves --update-baseline
+    python tools/check_bench.py --compile-time
+    python tools/check_bench.py --compile-time --update-baseline
+
+``--compile-time`` gates reasoner construction alone (the
+``compile_seconds`` of ``run_all.run_one``: parse, optimize, access plan,
+scheduling, join plans) on the rule-heavy iWarded smoke scenarios
+(``COMPILE_SCENARIOS``), compiled executor, against the ``compile`` entry
+of the baseline with the same calibration, threshold and slack as the
+scenario gate.  Whole-run medians hide a compile regression behind the
+chase; this gate names it.
 
 ``--scaling-curves`` switches the gate to the scenario-lab sweep check:
 the smoke-scale knob grid of ``repro.workloads.sweep`` (every parametric
@@ -549,6 +559,98 @@ def gate_scaling_curves(args) -> int:
     return 0
 
 
+#: Smoke scenarios of 100+ iWarded rules, where reasoner construction is a
+#: large share of the run and a super-linear compile step shows first.
+COMPILE_SCENARIOS = (
+    "bench_fig5a_iwarded",
+    "bench_fig8_scaling",
+    "bench_fig8_rules",
+    "bench_fig8_atoms",
+    "bench_fig8_arity",
+)
+
+
+def gate_compile_time(args) -> int:
+    """The reasoner-construction gate (see module docstring)."""
+    print(f"calibrating ({args.runs} runs)...", flush=True)
+    calibration = calibrate(args.runs)
+    print(f"calibration: {calibration:.4f}s", flush=True)
+    print(f"measuring construction time (median of {args.runs})...", flush=True)
+    measured = {}
+    for name in COMPILE_SCENARIOS:
+        smoke = run_all.SCENARIOS[name][4]
+        samples = [
+            run_all.run_one(smoke, "compiled")["compile_seconds"] for _ in range(args.runs)
+        ]
+        measured[name] = round(statistics.median(samples), 4)
+        print(f"   {name}: median {measured[name]:.4f}s of {sorted(samples)}", flush=True)
+
+    baseline_path = Path(args.baseline)
+    if args.update_baseline:
+        merged = {"scenarios": {}}
+        if baseline_path.exists():
+            merged = json.loads(baseline_path.read_text())
+        merged["compile"] = {
+            "executor": "compiled",
+            "scenarios": measured,
+            # Its own calibration, like the service and sweep entries.
+            "calibration_seconds": round(calibration, 4),
+            "python": platform.python_version(),
+            "runs": args.runs,
+        }
+        baseline_path.write_text(json.dumps(merged, indent=2) + "\n")
+        print(f"baseline updated: {baseline_path} [compile]")
+        return 0
+
+    entry = (
+        json.loads(baseline_path.read_text()).get("compile")
+        if baseline_path.exists()
+        else None
+    )
+    if not entry:
+        print(
+            "baseline has no compile entry; run with --compile-time "
+            "--update-baseline to add it",
+            file=sys.stderr,
+        )
+        return 2
+    scale = calibration / entry["calibration_seconds"]
+    print(
+        f"machine speed vs baseline machine: {1 / scale:.2f}x "
+        f"(calibration {calibration:.4f}s vs {entry['calibration_seconds']:.4f}s)"
+    )
+    factor = args.inject_slowdown or 1.0
+    if factor != 1.0:
+        print(f"!! self-test: injecting a {factor}x slowdown into the medians")
+    failures = []
+    for name, median in measured.items():
+        base = entry["scenarios"].get(name)
+        if base is None:
+            failures.append(f"{name}: no compile baseline entry")
+            continue
+        median *= factor
+        expected = base * scale
+        allowed = expected * args.threshold
+        status = "ok"
+        if median > allowed and (median - expected) > args.min_abs_slack:
+            status = "REGRESSION"
+            failures.append(
+                f"{name}: {median:.4f}s > {allowed:.4f}s "
+                f"({median / expected:.2f}x the scaled baseline)"
+            )
+        print(
+            f"   {name}: {median:.4f}s vs expected {expected:.4f}s "
+            f"(allowed {allowed:.4f}s) {status}"
+        )
+    if failures:
+        print(f"\ncompile-time gate FAILED: {len(failures)} violation(s):", file=sys.stderr)
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
+        return 1
+    print(f"\ncompile-time gate OK: {len(measured)} scenarios within budget")
+    return 0
+
+
 def measure(executors, runs: int, only=None) -> dict:
     """Median-of-``runs`` smoke elapsed per (scenario, executor)."""
     scenarios = {}
@@ -641,6 +743,15 @@ def main(argv=None) -> int:
             "(--executor does not apply; the committed sweep executors run)"
         ),
     )
+    parser.add_argument(
+        "--compile-time",
+        action="store_true",
+        help=(
+            "gate reasoner construction time on the rule-heavy iWarded smoke "
+            "scenarios (compiled executor) against the baseline's compile entry "
+            "(--executor and --only do not apply)"
+        ),
+    )
     parser.add_argument("--only", nargs="*", default=None)
     args = parser.parse_args(argv)
 
@@ -651,6 +762,8 @@ def main(argv=None) -> int:
         return gate_service_throughput(args)
     if args.scaling_curves:
         return gate_scaling_curves(args)
+    if args.compile_time:
+        return gate_compile_time(args)
     print(f"calibrating ({args.runs} runs)...", flush=True)
     calibration = calibrate(args.runs)
     print(f"calibration: {calibration:.4f}s", flush=True)
