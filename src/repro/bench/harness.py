@@ -32,7 +32,8 @@ from ..baselines.graph_engine import GraphTraversalEngine
 from ..baselines.restricted_chase import RestrictedChaseEngine
 from ..baselines.skolem_chase import SkolemChaseEngine
 from ..baselines.sql_recursion import RecursiveSqlEngine
-from ..core.chase import ChaseConfig
+from ..core.chase import ChaseConfig, ChaseLimitError
+from ..core.limits import ExecutionBudget
 from ..engine.reasoner import VadalogReasoner
 from ..workloads.scenario import Scenario
 
@@ -76,9 +77,14 @@ def _run_vadalog(scenario: Scenario, strategy: str) -> BenchmarkRow:
     reasoner = VadalogReasoner(
         scenario.program.copy(),
         strategy=strategy,
-        chase_config=ChaseConfig(max_rounds=5000),
+        chase_config=ChaseConfig(budget=ExecutionBudget(max_rounds=5000)),
     )
     result = reasoner.reason(database=scenario.database, outputs=scenario.outputs)
+    if result.status != "complete":
+        # A truncated run must never become a benchmark row.
+        raise ChaseLimitError(
+            f"{scenario.name}: run stopped early ({result.status}): {result.stop_reason}"
+        )
     elapsed = time.perf_counter() - started
     output_facts = sum(len(result.answers.facts(p)) for p in scenario.outputs)
     return BenchmarkRow(

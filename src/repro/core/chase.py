@@ -44,7 +44,13 @@ class InconsistencyError(Exception):
 
 
 class ChaseLimitError(Exception):
-    """Raised when a configured safety limit (facts/iterations) is exceeded."""
+    """Raised when incremental maintenance exceeds the budget's round limit.
+
+    A full run never raises it: exhausting an :class:`ExecutionBudget` ends
+    ``run()`` with a non-``complete`` status.  Maintenance of a resident
+    store (:meth:`ChaseEngine.continue_rounds`) cannot stop half-way and
+    still be sound, so it raises instead.
+    """
 
 
 @dataclass(frozen=True)
@@ -63,17 +69,14 @@ class Violation:
 
 @dataclass
 class ChaseConfig:
-    """Safety limits and behaviour switches of a chase run."""
+    """Resource budget and behaviour switches of a chase run."""
 
-    max_rounds: Optional[int] = None
-    max_facts: Optional[int] = None
     fail_on_violation: bool = False
     check_constraints: bool = True
     apply_egds: bool = True
-    #: Resource budget for the run.  Unlike ``max_rounds``/``max_facts``
-    #: (hard safety limits that *raise* :class:`ChaseLimitError`), exhausting
-    #: the budget ends the run gracefully with a structured non-``complete``
-    #: status and the sound partial materialisation derived so far.
+    #: Resource budget for the run: the only run limit.  Exhausting it ends
+    #: the run gracefully with a structured non-``complete`` status and the
+    #: sound partial materialisation derived so far.
     budget: Optional[ExecutionBudget] = None
     #: Cooperative cancellation token checked at governed checkpoints.
     cancel: Optional[CancellationToken] = None
@@ -111,11 +114,8 @@ class ChaseResult:
     stop_reason: Optional[str] = None
     #: High-water mark of resident facts (extensional + derived) in the store.
     peak_resident_facts: int = 0
-    #: Degradation/early-stop notices (worker recoveries, budget stops).
+    #: Early-stop notices (budget stops).
     warnings: List[str] = field(default_factory=list)
-
-    _derived_cache: Optional[Tuple[Fact, ...]] = field(default=None, repr=False, compare=False)
-    _derived_seen: int = field(default=-1, repr=False, compare=False)
 
     def facts(self, predicate: Optional[str] = None) -> Tuple[Fact, ...]:
         """All facts of the result, optionally restricted to one predicate."""
@@ -124,15 +124,8 @@ class ChaseResult:
         return tuple(self.store.by_predicate(predicate))
 
     def derived_facts(self) -> Tuple[Fact, ...]:
-        """Facts produced by rules (excluding the extensional input).
-
-        The tuple is computed once per node count and cached — ``stats()``
-        and callers iterating the result repeatedly no longer rebuild it.
-        """
-        if self._derived_cache is None or self._derived_seen != len(self.nodes):
-            self._derived_cache = tuple(n.fact for n in self.nodes if not n.is_input)
-            self._derived_seen = len(self.nodes)
-        return self._derived_cache
+        """Facts produced by rules (excluding the extensional input)."""
+        return tuple(n.fact for n in self.nodes if not n.is_input)
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -190,7 +183,10 @@ class ChaseEngine:
         tracer=None,
     ) -> None:
         if executor not in ("compiled", "naive"):
-            raise ValueError(f"unknown executor {executor!r}; use 'compiled' or 'naive'")
+            raise ValueError(
+                f"unknown executor {executor!r}; the chase engine supports 'compiled' "
+                "and 'naive' (use VadalogReasoner/reason() for 'streaming')"
+            )
         #: Optional :class:`repro.obs.Tracer`.  ``None`` (the default) keeps
         #: every instrumentation block behind an ``is not None`` guard so the
         #: untraced path runs no telemetry code at all.
@@ -254,19 +250,15 @@ class ChaseEngine:
 
     # -------------------------------------------------------------------- run
     def run(self) -> ChaseResult:
-        """Run the chase to completion (or until a safety limit triggers)."""
+        """Run the chase to completion (or until the budget stops it)."""
         started = time.perf_counter()
         store = FactStore()
         nodes: List[ChaseNode] = []
         node_of: Dict[Fact, ChaseNode] = {}
 
-        # Bulk input load through the store's write-batch protocol: stage
-        # everything (deduplicating), commit once, then register the chase
-        # nodes for the facts that actually entered the store.
-        batch = store.write_batch()
-        loaded = [fact for fact in self._database_facts if batch.add(fact)]
-        batch.apply()
-        for fact in loaded:
+        for fact in self._database_facts:
+            if not store.add(fact):
+                continue
             node = input_node(fact, step=0)
             nodes.append(node)
             node_of[fact] = node
@@ -307,10 +299,6 @@ class ChaseEngine:
                         result.status, result.stop_reason = stop
                         break
                 round_index += 1
-                if self.config.max_rounds is not None and round_index > self.config.max_rounds:
-                    raise ChaseLimitError(
-                        f"chase exceeded the configured maximum of {self.config.max_rounds} rounds"
-                    )
                 if tracer is None:
                     delta = self._evaluate_round(store, node_of, delta, round_index, result)
                 else:
@@ -384,14 +372,20 @@ class ChaseEngine:
         (the DRed rederivation phase only fires rules whose head predicate
         was deleted); later rounds always run the full program.  Returns the
         index of the last evaluated round.
+
+        The budget's ``max_rounds`` bounds the round index; exceeding it
+        raises :class:`ChaseLimitError`, because a half-maintained store is
+        not a sound materialisation.
         """
+        budget = self.config.budget
+        max_rounds = budget.max_rounds if budget is not None else None
         round_index = start_round
         first_restriction = rules
         while delta:
             round_index += 1
-            if self.config.max_rounds is not None and round_index > self.config.max_rounds:
+            if max_rounds is not None and round_index > max_rounds:
                 raise ChaseLimitError(
-                    f"chase exceeded the configured maximum of {self.config.max_rounds} rounds"
+                    f"maintenance exceeded the budget's maximum of {max_rounds} rounds"
                 )
             self._full_join_round = first_restriction is not None
             try:
@@ -417,10 +411,8 @@ class ChaseEngine:
     ) -> List[ChaseNode]:
         """Evaluate one semi-naive round; returns the nodes it derived.
 
-        This is the template method the parallel executor overrides
-        (:class:`repro.engine.partition.ParallelChaseEngine`): the base
-        implementation applies the rules sequentially in round-robin order
-        against the live store.
+        The rules are applied sequentially in round-robin order against the
+        live store.
         """
         delta_facts = [node.fact for node in delta]
         delta_by_predicate: Dict[str, List[Fact]] = {}
@@ -444,10 +436,6 @@ class ChaseEngine:
                     tracer, rule, store, node_of, delta_by_predicate, round_index, result
                 )
             new_nodes.extend(produced)
-            if self.config.max_facts is not None and len(store) > self.config.max_facts:
-                raise ChaseLimitError(
-                    f"chase exceeded the configured maximum of {self.config.max_facts} facts"
-                )
         return new_nodes
 
     def _apply_rule_traced(
@@ -550,17 +538,10 @@ class ChaseEngine:
         produced: List[ChaseNode] = []
         governor = self._governor
         tick = governor.tick if governor is not None else None
-        seed_lists = None
-        if self._full_join_round and plan.seed_plans:
-            # DRed full round: one seed plan over the predicate's full
-            # extent replaces body_length delta-seeded passes (see
-            # ``_full_join_round``); admission checks still run per fact.
-            seed_lists = [()] * len(plan.seed_plans)
-            # Copied: the store's bucket grows as the round admits facts.
-            seed_lists[0] = list(store.by_predicate(plan.seed_plans[0].seed.predicate))
+        full_join = self._full_join_round
         if plan.simple_fire:
             fire = self._fire_compiled
-            for slots, used_facts in executor.matches(store, round_index, seed_lists):
+            for slots, used_facts in executor.matches(store, round_index, full_join):
                 if tick is not None:
                     tick()
                 fire(
@@ -569,7 +550,7 @@ class ChaseEngine:
                 )
             return produced
         residual = plan.residual_conditions
-        for binding, used_facts in executor.bindings(store, round_index, seed_lists):
+        for binding, used_facts in executor.bindings(store, round_index, full_join):
             if tick is not None:
                 tick()
             if residual and not all(c.holds(binding) for c in residual):
@@ -602,7 +583,6 @@ class ChaseEngine:
         round_index: int,
         result: ChaseResult,
         produced: List[ChaseNode],
-        sink=None,
         admit=None,
     ) -> None:
         """Slot-based firing: instantiate heads positionally, no dict binding.
@@ -610,12 +590,8 @@ class ChaseEngine:
         Only used for rules whose plan has head templates (no assignments,
         aggregation, post conditions, ``Dom`` guards or residual conditions);
         semantically identical to :meth:`_fire` on those rules, including the
-        fresh-null generation order.  ``sink`` is the write target — the
-        live store by default, a :class:`~repro.core.fact_store.WriteBatch`
-        in the parallel admission stage.
+        fresh-null generation order.
         """
-        if sink is None:
-            sink = store
         if admit is None:
             admit = self.strategy.admit
         if plan.existentials:
@@ -624,7 +600,7 @@ class ChaseEngine:
             nulls = ()
         parents = None
         ward_parent = None
-        contains_row = sink.contains_row
+        contains_row = store.contains_row
         for predicate, entries in plan.head_templates:
             result.candidate_facts += 1
             # Entry kinds from repro.engine.plan: 1 = HEAD_SLOT, 2 = HEAD_NULL,
@@ -653,7 +629,7 @@ class ChaseEngine:
             )
             if not admit(node):
                 continue
-            sink.add(head_fact)
+            store.add(head_fact)
             node_of[head_fact] = node
             result.nodes.append(node)
             result.chase_steps += 1
@@ -807,7 +783,6 @@ class ChaseEngine:
         step: int,
         result: ChaseResult,
         admit=None,
-        sink=None,
     ) -> List[ChaseNode]:
         """Fire ``rule`` on a full body ``binding`` against an external store.
 
@@ -830,7 +805,6 @@ class ChaseEngine:
             step,
             result,
             admit=admit,
-            sink=sink,
         )
 
     def dom_guards_hold(
@@ -857,10 +831,7 @@ class ChaseEngine:
         round_index: int,
         result: ChaseResult,
         admit=None,
-        sink=None,
     ) -> List[ChaseNode]:
-        if sink is None:
-            sink = store
         full_binding = dict(binding)
         try:
             for assignment in rule.assignments:
@@ -888,7 +859,7 @@ class ChaseEngine:
         for head_atom in rule.head:
             head_fact = self._instantiate_head(head_atom, full_binding)
             result.candidate_facts += 1
-            if head_fact in sink:
+            if head_fact in store:
                 continue
             node = derived_node(
                 fact=head_fact,
@@ -900,7 +871,7 @@ class ChaseEngine:
             )
             if not admit(node):
                 continue
-            sink.add(head_fact)
+            store.add(head_fact)
             node_of[head_fact] = node
             result.nodes.append(node)
             result.chase_steps += 1
@@ -1035,37 +1006,14 @@ def run_chase(
     strategy: Optional[TerminationStrategy] = None,
     config: Optional[ChaseConfig] = None,
     executor: str = "compiled",
-    parallelism: Optional[int] = None,
-    parallel_backend: str = "threads",
     tracer=None,
 ) -> ChaseResult:
     """One-call helper: build a :class:`ChaseEngine` and run it.
 
-    ``executor="parallel"`` routes through the sharded round executor
-    (:class:`repro.engine.partition.ParallelChaseEngine`); ``parallelism``
-    and ``parallel_backend`` are only meaningful there.  ``tracer`` is an
-    optional :class:`repro.obs.Tracer`; callers owning the tracer must call
-    ``tracer.finish()`` themselves (the reasoner does this for ``reason()``).
+    ``tracer`` is an optional :class:`repro.obs.Tracer`; callers owning the
+    tracer must call ``tracer.finish()`` themselves (the reasoner does this
+    for ``reason()``).
     """
-    if executor not in ("compiled", "naive", "parallel"):
-        raise ValueError(
-            f"unknown executor {executor!r}; run_chase supports 'compiled', "
-            "'naive' and 'parallel' (use VadalogReasoner/reason() for 'streaming')"
-        )
-    if executor == "parallel":
-        # Imported lazily: the engine package imports this module.
-        from ..engine.partition import ParallelChaseEngine
-
-        parallel_engine = ParallelChaseEngine(
-            program,
-            database,
-            strategy=strategy,
-            config=config,
-            parallelism=parallelism,
-            backend=parallel_backend,
-            tracer=tracer,
-        )
-        return parallel_engine.run()
     engine = ChaseEngine(
         program, database, strategy=strategy, config=config, executor=executor,
         tracer=tracer,

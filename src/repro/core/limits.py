@@ -11,8 +11,8 @@ executor:
   a peak-resident-facts ceiling;
 * :class:`CancellationToken` — a thread-safe cooperative cancellation
   handle the caller can trip from another thread;
-* :class:`ExecutionGovernor` — the per-run object the chase loop, the
-  streaming pull scheduler and the parallel admit phase consult.  Round
+* :class:`ExecutionGovernor` — the per-run object the chase loop and the
+  streaming pull scheduler consult.  Round
   boundaries call :meth:`ExecutionGovernor.round_status` (all budget axes);
   hot inner loops call the strided :meth:`ExecutionGovernor.tick`, which
   only pays for a clock read every ``TICK_STRIDE`` calls and raises

@@ -8,13 +8,6 @@ from .annotations import (
 )
 from .buffer import BufferCache, BufferSegment
 from .joins import CompiledRuleExecutor, JoinInput, SlotMachineJoin, hash_join
-from .partition import (
-    ParallelChaseEngine,
-    RoundPartitioner,
-    partition_facts,
-    shard_of,
-    stable_term_hash,
-)
 from .pipeline import (
     PipelineExecutor,
     PipelineStats,
@@ -33,7 +26,6 @@ from .plan import (
     compile_plan,
     compile_source_pushdowns,
     compile_rule_join_plan,
-    seed_partition_positions,
 )
 from .incremental import ResidentError, ResidentReasoner
 from .reasoner import ReasoningResult, VadalogReasoner, reason
@@ -62,11 +54,6 @@ __all__ = [
     "JoinInput",
     "SlotMachineJoin",
     "hash_join",
-    "ParallelChaseEngine",
-    "RoundPartitioner",
-    "partition_facts",
-    "shard_of",
-    "stable_term_hash",
     "PipelineExecutor",
     "PipelineStats",
     "RuleFilterNode",
@@ -82,7 +69,6 @@ __all__ = [
     "compile_join_plans",
     "compile_plan",
     "compile_rule_join_plan",
-    "seed_partition_positions",
     "ReasoningResult",
     "ResidentError",
     "ResidentReasoner",

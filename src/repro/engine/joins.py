@@ -233,7 +233,7 @@ class CompiledRuleExecutor:
         return True
 
     def matches(
-        self, store, round_index: int, seed_lists: Optional[Sequence[Sequence[Fact]]] = None
+        self, store, round_index: int, full_join: bool = False
     ) -> Iterator[Tuple[List, List[Fact]]]:
         """Enumerate full body matches over the current delta.
 
@@ -246,13 +246,10 @@ class CompiledRuleExecutor:
         (the standard semi-naive decomposition avoiding duplicate joins
         across seed choices).
 
-        ``store`` may be the live :class:`~repro.core.fact_store.FactStore`
-        or a read-only :class:`~repro.core.fact_store.StoreSnapshot` — the
-        executor only reads.  ``seed_lists``, when given, supplies the seed
-        candidates externally (one sequence per seed plan, aligned with
-        ``plan.seed_plans``): the parallel executor passes each worker its
-        hash-shard of the delta this way, bypassing the store's own delta
-        lookup while every positional check still runs per candidate.
+        With ``full_join`` only the first seed plan runs, seeded with the
+        predicate's full extent instead of the delta: the DRed rederivation
+        round, whose delta is the whole store, covers the join once this
+        way instead of ``body_length`` times.
 
         The probe walk is an explicit iterative backtracking loop with the
         admission checks inlined: this is the innermost loop of the whole
@@ -264,11 +261,12 @@ class CompiledRuleExecutor:
         n_slots = len(self.plan.variables)
         body_length = self.plan.body_length
         sentinel = None
-        for plan_index, (seed, probes) in enumerate(self._schedule):
-            if seed_lists is None:
-                seed_candidates = self._seed_candidates(seed, store)
+        for seed, probes in (self._schedule[:1] if full_join else self._schedule):
+            if full_join:
+                # Copied: the store's bucket grows as the round admits facts.
+                seed_candidates = list(store.by_predicate(seed.predicate))
             else:
-                seed_candidates = seed_lists[plan_index]
+                seed_candidates = self._seed_candidates(seed, store)
             if not seed_candidates:
                 continue
             slots: List[Optional[object]] = [None] * n_slots
@@ -354,11 +352,11 @@ class CompiledRuleExecutor:
                     slots[slot] = None
 
     def bindings(
-        self, store, round_index: int, seed_lists: Optional[Sequence[Sequence[Fact]]] = None
+        self, store, round_index: int, full_join: bool = False
     ) -> Iterator[Tuple[Dict, List[Fact]]]:
         """Like :meth:`matches` but yielding fresh dict bindings (slow path)."""
         variables = self.plan.variables
-        for slots, used in self.matches(store, round_index, seed_lists):
+        for slots, used in self.matches(store, round_index, full_join):
             yield {variables[i]: slots[i] for i in range(len(variables))}, list(used)
 
 

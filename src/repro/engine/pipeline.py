@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.atoms import Fact
-from ..core.chase import ChaseConfig, ChaseEngine, ChaseLimitError, ChaseResult
+from ..core.chase import ChaseConfig, ChaseEngine, ChaseResult
 from ..core.fact_store import FactStore
 from ..core.forests import ChaseNode, input_node
 from ..core.limits import (
@@ -122,7 +122,6 @@ class _Context:
         engine: ChaseEngine,
         result: ChaseResult,
         buffers: BufferCache,
-        config: ChaseConfig,
         stats: PipelineStats,
         tracer=None,
     ) -> None:
@@ -133,7 +132,6 @@ class _Context:
         self.node_of: Dict[Fact, ChaseNode] = {}
         self.seq_of: Dict[Fact, int] = {}
         self.buffers = buffers
-        self.config = config
         self.stats = stats
         #: Monotone counter of *any* observable work (cursor advances, fact
         #: admissions).  A full driver sweep that leaves it unchanged proves
@@ -163,13 +161,6 @@ class _Context:
         resident = self.buffers.resident_items()
         if resident > self.stats.peak_resident_buffer_items:
             self.stats.peak_resident_buffer_items = resident
-        if (
-            self.config.max_facts is not None
-            and len(self.store) > self.config.max_facts
-        ):
-            raise ChaseLimitError(
-                f"pipeline exceeded the configured maximum of {self.config.max_facts} facts"
-            )
 
     def note_answer(self, fact: Fact) -> None:
         self.stats.answers_produced += 1
@@ -577,7 +568,7 @@ class PipelineExecutor:
         )
         self.buffers = buffers
         self.ctx = _Context(
-            engine, self.result, buffers, self.config, self.stats, tracer=tracer
+            engine, self.result, buffers, self.stats, tracer=tracer
         )
         self.registry = WrapperRegistry(strategy)
 

@@ -19,12 +19,8 @@ the four compilation steps of the pipeline architecture:
    the interpreted matcher (the reference path for differential testing),
    ``executor="streaming"`` for the pull-based pipeline runtime
    (:mod:`repro.engine.pipeline`): query-driven, buffer-backed and able to
-   return first answers before the model is fully materialized —
-   :meth:`VadalogReasoner.stream` exposes the lazy variant — or
-   ``executor="parallel"`` for the sharded worker-pool chase
-   (:mod:`repro.engine.partition`): the delta is hash-partitioned on the
-   seed join key across ``parallelism=`` workers and merged through a
-   single-writer admission stage, answer-identical to ``compiled``.
+   return first answers before the model is fully materialized;
+   :meth:`VadalogReasoner.stream` exposes the lazy variant.
 
 Typical usage::
 
@@ -94,7 +90,7 @@ from .record_managers import (
 from .scheduler import RoundRobinScheduler, SchedulerReport
 from .wrappers import WrapperRegistry
 
-EXECUTORS = ("compiled", "naive", "streaming", "parallel")
+EXECUTORS = ("compiled", "naive", "streaming")
 
 DatabaseLike = Union[Database, Mapping[str, Iterable[Sequence[object]]], Iterable[Fact], None]
 
@@ -132,12 +128,6 @@ class ReasoningResult:
     #: used no external bindings.  Thin legacy view: traced runs record each
     #: completed scan as a ``source-scan`` span with the same counters.
     source_stats: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    #: Per-round shard-balance statistics of the parallel executor: one dict
-    #: per chase round with the per-shard seed-fact and match counts and the
-    #: busiest-to-mean imbalance ratio.  Empty on the other executors.
-    #: Thin legacy view: traced runs carry per-shard ``shard-match`` spans
-    #: (with worker pids) under each round span.
-    shard_balance: List[Dict[str, object]] = field(default_factory=list)
     #: The run's telemetry (:class:`repro.obs.Tracer`) when the run was
     #: started with ``trace=``; ``None`` otherwise.  Spans are in
     #: ``trace.spans()``, aggregated counters in ``trace.metrics``.
@@ -266,9 +256,6 @@ class VadalogReasoner:
         chase_config: Optional[ChaseConfig] = None,
         base_path: Optional[str] = None,
         executor: str = "compiled",
-        parallelism: Optional[int] = None,
-        parallel_backend: str = "threads",
-        parallel_worker_timeout: Optional[float] = None,
     ) -> None:
         if executor not in EXECUTORS:
             raise ValueError(
@@ -281,16 +268,6 @@ class VadalogReasoner:
         self.chase_config = chase_config or ChaseConfig()
         self.base_path = base_path
         self.executor = executor
-        #: Worker/shard count of the parallel executor (``None`` = auto:
-        #: ``min(4, cpu_count)``); ignored by the other executors.
-        self.parallelism = parallelism
-        #: ``"threads"`` (persistent pool, shared read snapshot) or
-        #: ``"fork"`` (per-round process pool, copy-on-write snapshot).
-        self.parallel_backend = parallel_backend
-        #: Per-shard result timeout (seconds); a shard that exceeds it is
-        #: treated as hung and goes through worker recovery (retry, then
-        #: degrade to sequential).  ``None`` = wait indefinitely.
-        self.parallel_worker_timeout = parallel_worker_timeout
         self.warnings: List[str] = []
         self.harmful_join_rewriting: Optional[HarmfulJoinEliminationResult] = None
         #: ``@bind`` resolution is memoized across runs so the per-source
@@ -476,32 +453,16 @@ class VadalogReasoner:
                 registry.wrapper_for(f"rule:{rule.label}")
 
             chase_started = time.perf_counter()
-            if self.executor == "parallel":
-                from .partition import ParallelChaseEngine
-
-                engine: ChaseEngine = ParallelChaseEngine(
-                    spec.program,
-                    facts,
-                    strategy=chosen,
-                    analysis=spec.analysis,
-                    config=config,
-                    join_plans=spec.join_plans,
-                    parallelism=self.parallelism,
-                    backend=self.parallel_backend,
-                    worker_timeout=self.parallel_worker_timeout,
-                    tracer=tracer,
-                )
-            else:
-                engine = ChaseEngine(
-                    spec.program,
-                    facts,
-                    strategy=chosen,
-                    analysis=spec.analysis,
-                    config=config,
-                    executor=self.executor,
-                    join_plans=spec.join_plans,
-                    tracer=tracer,
-                )
+            engine = ChaseEngine(
+                spec.program,
+                facts,
+                strategy=chosen,
+                analysis=spec.analysis,
+                config=config,
+                executor=self.executor,
+                join_plans=spec.join_plans,
+                tracer=tracer,
+            )
             chase_result = engine.run()
             timings["chase"] = time.perf_counter() - chase_started
 
@@ -535,9 +496,6 @@ class VadalogReasoner:
             timings=timings,
             pipeline=pipeline,
             source_stats=bindings.source_stats(),
-            shard_balance=list(
-                chase_result.extra_stats.get("parallel_shard_balance", ())
-            ),
             magic_rewriting=spec.rewriting,
         )
 
@@ -936,8 +894,6 @@ def reason(
     certain: bool = False,
     strategy: Union[str, TerminationStrategy, None] = "warded",
     executor: str = "compiled",
-    parallelism: Optional[int] = None,
-    parallel_backend: str = "threads",
     query: Union[str, Atom, None] = None,
     rewrite: Optional[str] = None,
     deadline: Optional[float] = None,
@@ -946,13 +902,7 @@ def reason(
     trace: object = None,
 ) -> ReasoningResult:
     """One-call helper: build a :class:`VadalogReasoner` and run it."""
-    reasoner = VadalogReasoner(
-        program,
-        strategy=strategy,
-        executor=executor,
-        parallelism=parallelism,
-        parallel_backend=parallel_backend,
-    )
+    reasoner = VadalogReasoner(program, strategy=strategy, executor=executor)
     return reasoner.reason(
         database=database,
         outputs=outputs,

@@ -5,7 +5,7 @@ spans answer "where did the time go", metrics answer "how many" for
 quantities that are too frequent (or too global) to carry a span each —
 pull-scheduler hit/miss/barren classifications, governor stops, source
 cache traffic.  Everything is standard library, allocation-light, and
-driver-thread-only (workers report through span records instead).
+driver-thread-only.
 """
 
 from __future__ import annotations

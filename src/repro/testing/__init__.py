@@ -3,7 +3,6 @@
 from .faults import (
     FaultPlan,
     FaultSpec,
-    WorkerCrash,
     fault_point,
     inject,
     install,
@@ -13,7 +12,6 @@ from .faults import (
 __all__ = [
     "FaultPlan",
     "FaultSpec",
-    "WorkerCrash",
     "fault_point",
     "inject",
     "install",

@@ -1,7 +1,7 @@
 """Shared differential-testing machinery for the executor test matrix.
 
-Every executor suite (``test_compiled_executor``, ``test_streaming_differential``,
-``test_parallel_executor``) and the magic-rewrite matrix
+Every executor suite (``test_compiled_executor``, ``test_streaming_differential``)
+and the magic-rewrite matrix
 (``test_magic_rewrite``) compares runs over the same **20 scenario
 registry** defined here, with the same three levels of agreement:
 
@@ -14,16 +14,9 @@ registry** defined here, with the same three levels of agreement:
   multiset of per-fact isomorphism keys (including multiplicities) must
   match too.
 
-The order-sensitive exemption sets are owned here as well, so the suites
-cannot silently drift apart: ``ORDER_SENSITIVE_NULLS`` for the pull-based
-streaming runtime and ``PARALLEL_ORDER_SENSITIVE_NULLS`` for the sharded
-parallel executor, where snapshot rounds enumerate duplicate joins in a
-different order than the live sequential chase and may therefore retain a
-different *multiset* of homomorphically equivalent null witnesses (usually
-fewer, occasionally one more — the direction is order-dependent).  The
-exact contract — certain facts identical, witness pattern sets identical in
-both directions, full profile equality at one worker — is pinned by
-``test_parallel_executor.TestParallelNullWitnessContract``.
+The order-sensitive exemption set ``ORDER_SENSITIVE_NULLS`` (for the
+pull-based streaming runtime) is owned here as well, so the suites cannot
+silently drift apart.
 """
 
 from collections import Counter
@@ -100,15 +93,6 @@ ORDER_SENSITIVE_NULLS = {
     "scaling-atoms",
 }
 
-#: The 6 recursive-existential scenarios where the parallel executor's
-#: snapshot rounds legitimately retain *fewer* duplicate null witnesses
-#: than the live sequential chase (CHANGES.md, PR 4).  The iso profile is
-#: pinned as a sub-multiset by ``test_parallel_executor``.
-PARALLEL_ORDER_SENSITIVE_NULLS = ORDER_SENSITIVE_NULLS | {
-    "scaling-arity",
-    "scaling-rules",
-}
-
 
 def scenario_names():
     """Deterministic iteration order for ``pytest.mark.parametrize``."""
@@ -171,20 +155,17 @@ def answer_profile(
     return AnswerProfile(ground=ground, iso=iso, patterns=patterns, result=result)
 
 
-def store_profile(name: str, executor: str, **reasoner_kwargs):
+def store_profile(name: str, executor: str):
     """Run one scenario and summarise the whole materialised store.
 
     Returns ``(ground facts, iso-key multiset, pattern-key set)`` over the
     null-carrying facts — equality of ground+iso means the two runs derived
     the same facts up to a bijective renaming of labelled nulls per fact.
     Used by the compiled-vs-naive differential (identically-ordered
-    executors must agree fact-for-fact) and by the parallel null-witness
-    contract (pattern-level agreement over the whole store).
+    executors must agree fact-for-fact).
     """
     scenario = SCENARIOS[name]()
-    reasoner = VadalogReasoner(
-        scenario.program.copy(), executor=executor, **reasoner_kwargs
-    )
+    reasoner = VadalogReasoner(scenario.program.copy(), executor=executor)
     result = reasoner.reason(database=scenario.database, outputs=scenario.outputs)
     ground, iso, patterns = _profile_facts(result.chase.store)
     return ground, iso, patterns

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.chase import ChaseConfig, ChaseLimitError, run_chase
+from repro.core.chase import ChaseConfig, run_chase
+from repro.core.limits import STATUS_BUDGET, ExecutionBudget
 from repro.core.forests import LinearForest, WardedForest
 from repro.core.parser import parse_program
 from repro.core.atoms import fact
@@ -69,8 +70,10 @@ class TestDatalogChase:
 
     def test_round_limit_enforced(self):
         program = parse_program(TRANSITIVE)
-        with pytest.raises(ChaseLimitError):
-            run_chase(program, chain_edges(30), config=ChaseConfig(max_rounds=3))
+        config = ChaseConfig(budget=ExecutionBudget(max_rounds=3))
+        result = run_chase(program, chain_edges(30), config=config)
+        assert result.status == STATUS_BUDGET
+        assert result.rounds == 3
 
 
 class TestExistentialChase:

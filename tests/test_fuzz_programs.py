@@ -11,13 +11,16 @@ iWarded grid points (indices >= ``GRID_BASE`` — see ``fuzz.GRID_KNOBS``):
 * **naive vs compiled** — the two identically-ordered chase executors
   derive the same store (ground facts exactly, null witnesses up to
   isomorphism);
-* **streaming and parallel (2 workers) vs compiled** — answer-level
-  agreement per output predicate: ground answers exactly, null answer
-  patterns exactly.  The iso *multiset* is exempt for these two executors —
-  they enumerate duplicate joins in a different order than the sequential
-  chase and may retain a different multiset of homomorphically equivalent
-  witnesses (same exemption as ``differential_harness``'s
-  ``ORDER_SENSITIVE_NULLS`` / ``PARALLEL_ORDER_SENSITIVE_NULLS``);
+* **streaming vs compiled** — answer-level agreement per output
+  predicate: ground answers exactly, null answer patterns exactly.  The
+  iso *multiset* is exempt for streaming — it enumerates duplicate joins
+  in a different order than the sequential chase and may retain a
+  different multiset of homomorphically equivalent witnesses (same
+  exemption as ``differential_harness``'s ``ORDER_SENSITIVE_NULLS``);
+* **parallel clients vs compiled** — ``PARALLEL_CLIENTS`` threads read
+  every output predicate concurrently through one ``ReasoningService``
+  (answer cache off, so every read goes to the warm store); each client
+  sees the compiled answers exactly, null witnesses up to isomorphism;
 * **magic vs unrewritten** — for a generated point query,
   ``rewrite="magic"`` returns the same certain answers and null patterns
   as ``rewrite="none"``;
@@ -29,6 +32,8 @@ assertion message embeds a copy-pasteable repro snippet naming the case
 seed, so a CI failure reproduces locally bit-for-bit.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from differential_harness import _profile_facts
@@ -37,6 +42,7 @@ from repro.core.isomorphism import pattern_key
 from repro.core.parser import parse_program, unparse_program
 from repro.core.wardedness import analyse_program
 from repro.engine.reasoner import VadalogReasoner
+from repro.engine.service import ReasoningService
 from repro.testing.fuzz import (
     CONSTANTS,
     MASTER_SEED,
@@ -53,17 +59,17 @@ __all__ = ["MASTER_SEED", "N_CASES", "CONSTANTS"]
 #: iso-multiset equality): their join enumeration order differs from the
 #: sequential chase, so duplicate null witnesses may be retained in
 #: different multiplicities.
-ORDER_SENSITIVE_EXECUTORS = ("streaming", "parallel")
+ORDER_SENSITIVE_EXECUTORS = ("streaming",)
 
-
-def _reasoner_kwargs(executor):
-    return {"parallelism": 2} if executor == "parallel" else {}
+#: Legs of the executor matrix: the order-sensitive executors, and
+#: ``parallel`` — concurrent clients of a ``ReasoningService`` over the
+#: compiled materialisation.
+MATRIX_LEGS = (*ORDER_SENSITIVE_EXECUTORS, "parallel")
+PARALLEL_CLIENTS = 4
 
 
 def _run(program, database, executor):
-    reasoner = VadalogReasoner(
-        program.copy(), executor=executor, **_reasoner_kwargs(executor)
-    )
+    reasoner = VadalogReasoner(program.copy(), executor=executor)
     return reasoner.reason(database=database)
 
 
@@ -191,16 +197,59 @@ def test_fuzz_case(index):
                 assert Position(pred, position) not in affected
 
 
-@pytest.mark.parametrize("executor", ORDER_SENSITIVE_EXECUTORS)
-@pytest.mark.parametrize("index", [*range(0, N_CASES, 2), *grid_indices()[::2]])
-def test_fuzz_executor_matrix(index, executor):
-    """Streaming/parallel answers agree with compiled on every other case.
+def _parallel_client_answers(case):
+    """Per-client answers of ``PARALLEL_CLIENTS`` concurrent service readers.
 
-    Ground answers and null answer patterns must match exactly per output
-    predicate; the iso multiset is exempt (order-sensitive executors).
+    Every client asks for every output predicate, each starting at a
+    different one; with the cache off each query reads the store.
+    """
+    service = ReasoningService(
+        case.program.copy(), database=case.database, cache_size=0
+    )
+    predicates = sorted(case.idb)
+
+    def client(k):
+        start = k % len(predicates)
+        order = predicates[start:] + predicates[:start]
+        return {p: service.query(outputs=[p]).facts(p) for p in order}
+
+    with ThreadPoolExecutor(max_workers=PARALLEL_CLIENTS) as pool:
+        return list(pool.map(client, range(PARALLEL_CLIENTS)))
+
+
+def _check_parallel_clients(case, reference):
+    if not case.idb:
+        return
+    clients = _parallel_client_answers(case)
+    for predicate in sorted(case.idb):
+        expected = _profile_facts(reference.answers.facts(predicate))
+        first = set(clients[0][predicate])
+        for k, answers in enumerate(clients):
+            assert _profile_facts(answers[predicate]) == expected, (
+                f"case {case.index} (seed {case.seed}): parallel client {k} "
+                f"disagrees with compiled on {predicate}"
+            )
+            assert set(answers[predicate]) == first, (
+                f"case {case.index} (seed {case.seed}): parallel clients 0 "
+                f"and {k} read different {predicate} facts"
+            )
+
+
+@pytest.mark.parametrize("leg", MATRIX_LEGS)
+@pytest.mark.parametrize("index", [*range(0, N_CASES, 2), *grid_indices()[::2]])
+def test_fuzz_executor_matrix(index, leg):
+    """Streaming answers and parallel service reads agree with compiled.
+
+    Streaming: ground answers and null answer patterns must match exactly
+    per output predicate; the iso multiset is exempt (order-sensitive
+    executor).  Parallel: see ``_check_parallel_clients``.
     """
     case = generate_case(index)
     reference = _run(case.program, case.database, "compiled")
+    if leg == "parallel":
+        _check_parallel_clients(case, reference)
+        return
+    executor = leg
     candidate = _run(case.program, case.database, executor)
     ref_profile = _answer_profile(reference, case.idb)
     cand_profile = _answer_profile(candidate, case.idb)

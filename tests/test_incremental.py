@@ -5,8 +5,8 @@ The main body is a differential over the shared 16-scenario registry of
 resident answers must match a from-scratch ``reason()`` on the final
 database — ground answers exactly, null-witness answers at *pattern*
 level (the resident materialisation may retain a different multiset of
-isomorphic null witnesses, the same contract as the streaming and
-parallel executors, so ``check_iso=False`` throughout).
+isomorphic null witnesses, the same contract as the streaming executor,
+so ``check_iso=False`` throughout).
 
 The second half pins the delete-and-rederive edge cases one by one:
 independently rederivable facts survive, existential null witnesses
@@ -23,6 +23,8 @@ from differential_harness import (
     assert_profiles_match,
     scenario_names,
 )
+from repro.core.chase import ChaseConfig, ChaseLimitError
+from repro.core.limits import ExecutionBudget
 from repro.engine.incremental import ResidentError, ResidentReasoner
 from repro.engine.reasoner import VadalogReasoner
 
@@ -180,6 +182,17 @@ class TestUpsert:
         assert not resident.needs_settle
         assert resident.query().ground_tuples("Degree") == {("a", 3), ("b", 1)}
 
+    def test_upsert_past_the_round_budget_raises(self):
+        # Maintenance cannot stop half-way and stay sound, so the budget's
+        # round bound raises instead of ending with a partial status.
+        config = ChaseConfig(budget=ExecutionBudget(max_rounds=5))
+        resident = ResidentReasoner(
+            REACH_PROGRAM, database={"Edge": [(0, 1)]}, chase_config=config
+        )
+        assert resident.query().ground_tuples("Reach") == {(0, 1)}
+        with pytest.raises(ChaseLimitError, match="maximum of 5 rounds"):
+            resident.upsert({"Edge": [(i, i + 1) for i in range(1, 12)]})
+
 
 class TestDRedEdgeCases:
     def test_independently_rederivable_fact_survives(self):
@@ -256,6 +269,20 @@ class TestDRedEdgeCases:
         _, _, patterns_after = _profile_facts(resident.query().facts("Audit"))
         # The relabelled nulls must present the same witness patterns.
         assert patterns_after == patterns_before
+
+    def test_derived_facts_follow_retract_then_same_size_upsert(self):
+        # The retraction replaces the node list and the upsert brings it
+        # back to the same length: derived_facts() must still read the
+        # current nodes.
+        resident = ResidentReasoner(
+            "Reach(X, Y) :- Edge(X, Y).",
+            database={"Edge": [("a", "b"), ("b", "c")]},
+        )
+        assert len(resident.result.derived_facts()) == 2
+        resident.retract({"Edge": [("b", "c")]})
+        resident.upsert({"Edge": [("x", "y")]})
+        derived = {f.values() for f in resident.result.derived_facts()}
+        assert derived == {("a", "b"), ("x", "y")}
 
     def test_retracting_derived_fact_raises(self):
         resident = ResidentReasoner(

@@ -1,12 +1,11 @@
 """Execution budgets, cooperative cancellation and structured run statuses.
 
 Covers the resource-governance layer (``repro.core.limits``) across all
-four executors: every budget axis (deadline, derived facts, rounds,
+three executors: every budget axis (deadline, derived facts, rounds,
 resident facts) ends the run with a structured status and a *sound partial
 materialisation* (a subset of the fault-free fixpoint) instead of raising;
 a :class:`CancellationToken` tripped before or during a run yields
-``"cancelled"``; the legacy hard limits (``ChaseConfig.max_rounds`` /
-``max_facts``) still raise :class:`ChaseLimitError` unchanged.
+``"cancelled"``.
 """
 
 import threading
@@ -23,7 +22,6 @@ from repro import (
     reason,
     run_chase,
 )
-from repro.core.chase import ChaseLimitError
 from repro.core.limits import (
     RUN_STATUSES,
     STATUS_BUDGET,
@@ -130,7 +128,7 @@ class TestBudgetsAcrossExecutors:
         assert partial < full_tuples
         assert any("sound subset" in warning for warning in result.warnings)
 
-    @pytest.mark.parametrize("executor", ("compiled", "naive", "parallel"))
+    @pytest.mark.parametrize("executor", ("compiled", "naive"))
     def test_round_budget(self, executor, full_tuples):
         result = chain_reasoner(executor).reason(
             database=CHAIN_DB, budget=ExecutionBudget(max_rounds=2)
@@ -241,17 +239,16 @@ class TestConfigPlumbing:
         again = reasoner.reason(database=CHAIN_DB)
         assert again.status == STATUS_COMPLETE
 
+    # ChaseConfig's own round/fact limits are gone; ExecutionBudget is the
+    # only run limit, and the old keywords fail loudly instead of being
+    # ignored.
     def test_legacy_max_rounds_still_raises(self):
-        config = ChaseConfig(max_rounds=1)
-        reasoner = VadalogReasoner(TC_PROGRAM, chase_config=config)
-        with pytest.raises(ChaseLimitError):
-            reasoner.reason(database=CHAIN_DB)
+        with pytest.raises(TypeError, match="max_rounds"):
+            ChaseConfig(max_rounds=1)
 
     def test_legacy_max_facts_still_raises(self):
-        config = ChaseConfig(max_facts=5)
-        reasoner = VadalogReasoner(TC_PROGRAM, chase_config=config)
-        with pytest.raises(ChaseLimitError):
-            reasoner.reason(database=CHAIN_DB)
+        with pytest.raises(TypeError, match="max_facts"):
+            ChaseConfig(max_facts=5)
 
     def test_peak_resident_facts_in_stats(self):
         result = reason(TC_PROGRAM, database=CHAIN_DB)
@@ -261,30 +258,39 @@ class TestConfigPlumbing:
 
 
 # ---------------------------------------------------------------------------
-# Unknown-executor errors (satellite: clear ValueError listing EXECUTORS)
+# Unknown-executor errors: a clear ValueError naming the input and listing
+# the executors that exist
 # ---------------------------------------------------------------------------
 
 
 class TestUnknownExecutor:
     def test_reasoner_rejects_unknown_executor(self):
-        with pytest.raises(ValueError) as err:
-            VadalogReasoner(TC_PROGRAM, executor="quantum")
-        message = str(err.value)
-        assert "quantum" in message
-        for name in EXECUTORS:
-            assert name in message
+        for unknown in ("quantum", "parallel"):
+            with pytest.raises(ValueError) as err:
+                VadalogReasoner(TC_PROGRAM, executor=unknown)
+            message = str(err.value)
+            assert repr(unknown) in message
+            for name in EXECUTORS:
+                assert name in message
 
     def test_reason_helper_rejects_unknown_executor(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            reason(TC_PROGRAM, database=CHAIN_DB, executor="gpu")
+        for unknown in ("gpu", "parallel"):
+            with pytest.raises(ValueError, match="unknown executor") as err:
+                reason(TC_PROGRAM, database=CHAIN_DB, executor=unknown)
+            message = str(err.value)
+            assert repr(unknown) in message
+            for name in EXECUTORS:
+                assert name in message
 
     def test_run_chase_rejects_unknown_executor(self):
         program = parse_program(TC_PROGRAM)
-        with pytest.raises(ValueError) as err:
-            run_chase(program, executor="streaming")
-        message = str(err.value)
-        assert "streaming" in message
-        assert "compiled" in message
+        for unknown in ("streaming", "parallel"):
+            with pytest.raises(ValueError) as err:
+                run_chase(program, executor=unknown)
+            message = str(err.value)
+            assert repr(unknown) in message
+            assert "compiled" in message
+            assert "naive" in message
 
 
 # ---------------------------------------------------------------------------

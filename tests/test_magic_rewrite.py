@@ -3,8 +3,8 @@
 The matrix extends the shared differential harness with the magic-rewrite
 column: for each of the 16 registry scenarios a deterministic point query
 is derived from the compiled reference answers, and
-``reason(query=..., rewrite="magic")`` on the compiled, streaming and
-parallel executors must return **identical certain answers** (and null
+``reason(query=..., rewrite="magic")`` on the compiled and streaming
+executors must return **identical certain answers** (and null
 answer patterns) to the unrewritten ``rewrite="none"`` reference.  The
 unit tests pin the rewriting's safety behaviour: existential fallback,
 ``Dom`` veto, constraint-driven full computation, adornment weakening to
@@ -29,7 +29,7 @@ from repro.core.transform import normalize_for_chase, optimize_for_query
 from repro.core.wardedness import analyse_program
 from repro.engine.reasoner import VadalogReasoner
 
-MAGIC_EXECUTORS = ("compiled", "streaming", "parallel")
+MAGIC_EXECUTORS = ("compiled", "streaming")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.atoms import fact
-from repro.core.chase import ChaseConfig, ChaseLimitError
+from repro.core.chase import ChaseConfig
+from repro.core.limits import STATUS_BUDGET, ExecutionBudget
 from repro.core.parser import parse_program
 from repro.core.termination import strategy_by_name
 from repro.engine.pipeline import PipelineExecutor
@@ -219,10 +220,11 @@ class TestLimitsAndErrors:
         reasoner = VadalogReasoner(
             TC_PROGRAM,
             executor="streaming",
-            chase_config=ChaseConfig(max_facts=10),
+            chase_config=ChaseConfig(budget=ExecutionBudget(max_resident_facts=40)),
         )
-        with pytest.raises(ChaseLimitError):
-            reasoner.reason(database=chain_edges(30))
+        result = reasoner.reason(database=chain_edges(30))
+        assert result.status == STATUS_BUDGET
+        assert "resident-fact ceiling" in result.stop_reason
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):

@@ -152,7 +152,7 @@ class TestReasonerInterface:
         assert result.chase.rounds > 0
 
     def test_chase_config_limits_respected(self):
-        from repro.core.chase import ChaseLimitError
+        from repro.core.limits import STATUS_BUDGET, ExecutionBudget
 
         program = """
         @output("T").
@@ -160,9 +160,11 @@ class TestReasonerInterface:
         T(X, Z) :- T(X, Y), E(Y, Z).
         """
         edges = {"E": [(f"n{i}", f"n{i+1}") for i in range(40)]}
-        reasoner = VadalogReasoner(program, chase_config=ChaseConfig(max_rounds=2))
-        with pytest.raises(ChaseLimitError):
-            reasoner.reason(database=edges)
+        config = ChaseConfig(budget=ExecutionBudget(max_rounds=2))
+        result = VadalogReasoner(program, chase_config=config).reason(database=edges)
+        assert result.status == STATUS_BUDGET
+        assert result.chase.rounds == 2
+        assert len(result.ground_tuples("T")) < 40 * 41 // 2
 
     def test_timings_and_stats_exposed(self):
         result = reason(EXAMPLE_2, database={"Own": [("a", "b", 0.9)]})

@@ -47,7 +47,7 @@ from repro.workloads.datascience import (
 )
 from repro.workloads.iwarded import IWardedConfig
 from repro.workloads.sweep import (
-    SMOKE_SWEEP_EXECUTORS,
+    SWEEP_EXECUTORS,
     axis_by_name,
     grid_scenario,
     run_axis,
@@ -247,7 +247,7 @@ class TestSweepSmoke:
 @pytest.mark.nightly
 def test_full_sweep_structure():
     """Nightly-scale: the whole smoke grid on the gate executor set."""
-    section = run_sweep(smoke=True, executors=SMOKE_SWEEP_EXECUTORS)
+    section = run_sweep(smoke=True, executors=SWEEP_EXECUTORS)
     assert section["mode"] == "smoke"
     assert set(section["axes"]) == {axis.name for axis in SWEEP_AXES}
     for curves in section["axes"].values():

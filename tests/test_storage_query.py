@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.atoms import Atom, Fact, fact
 from repro.core.chase import run_chase
-from repro.core.fact_store import FactStore
+from repro.core.fact_store import FactStore, StaleSnapshotError
 from repro.core.parser import parse_program
 from repro.core.query import Query, certain_answer, extract_answers, universal_answer
 from repro.core.terms import Constant, Null, Variable
@@ -96,6 +96,15 @@ class TestFactStore:
     def test_nulls_indexed_separately_from_constants(self):
         store = FactStore([Fact("P", (Null(0),)), fact("P", 0)])
         assert len(store) == 2
+
+    def test_snapshot_goes_stale_on_mutation(self):
+        store = FactStore([fact("P", "a")])
+        snapshot = store.snapshot()
+        assert snapshot.by_predicate("P")
+        store.add(fact("P", "b"))
+        assert snapshot.stale
+        with pytest.raises(StaleSnapshotError):
+            snapshot.by_predicate("P")
 
 
 class TestAnswers:

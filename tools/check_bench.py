@@ -18,7 +18,7 @@ the tiny smoke scenarios are noise-dominated below that.
 
 Usage::
 
-    python tools/check_bench.py --executor compiled parallel
+    python tools/check_bench.py --executor compiled
     python tools/check_bench.py --executor compiled --update-baseline
     python tools/check_bench.py --executor compiled --inject-slowdown 2.0  # self-test
     python tools/check_bench.py --trace-overhead --executor compiled streaming
@@ -93,11 +93,6 @@ import run_all  # noqa: E402  (benchmarks/run_all.py)
 
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "baseline_smoke.json"
 
-#: The parallel executor's worker count is pinned so the gate measures the
-#: same configuration on every machine (the auto default scales with the
-#: host's CPU count, which would make the committed baseline incomparable).
-GATE_PARALLELISM = 2
-
 
 def calibrate(runs: int = 3) -> float:
     """Median wall-clock of a fixed pure-Python arithmetic loop.
@@ -133,16 +128,11 @@ def measure_trace_overhead(executors, runs: int, only=None) -> dict:
             continue
         row = {}
         for executor in executors:
-            kwargs = {"parallelism": GATE_PARALLELISM} if executor == "parallel" else {}
             untraced, traced = [], []
             for _ in range(runs):
-                untraced.append(
-                    run_all.run_one(smoke, executor, **kwargs)["elapsed_seconds"]
-                )
+                untraced.append(run_all.run_one(smoke, executor)["elapsed_seconds"])
                 traced.append(
-                    run_all.run_one(smoke, executor, trace=True, **kwargs)[
-                        "elapsed_seconds"
-                    ]
+                    run_all.run_one(smoke, executor, trace=True)["elapsed_seconds"]
                 )
             row[executor] = {
                 "untraced": round(statistics.median(untraced), 4),
@@ -360,12 +350,12 @@ def gate_service_throughput(args) -> int:
 MONOTONE_AXES = ("recursion-depth", "fact-size")
 
 #: Executors whose fact counts are bit-reproducible across processes.  The
-#: pull-based streaming (and sharded parallel) runtimes retain a
-#: hash-order-dependent *multiset* of homomorphically equivalent null
-#: witnesses — ``PYTHONHASHSEED`` moves the retained count by a few facts
-#: between processes — so their counts get a small jitter allowance; their
-#: answers are still checked against naive on every gate run regardless
-#: (ground exactly, null witnesses at pattern level).
+#: pull-based streaming runtime retains a hash-order-dependent *multiset*
+#: of homomorphically equivalent null witnesses — ``PYTHONHASHSEED`` moves
+#: the retained count by a few facts between processes — so its counts get
+#: a small jitter allowance; its answers are still checked against naive on
+#: every gate run regardless (ground exactly, null witnesses at pattern
+#: level).
 EXACT_FACT_EXECUTORS = ("naive", "compiled")
 
 #: Smoke grid points run in 0.02–0.2s, where scheduler noise easily
@@ -659,9 +649,8 @@ def measure(executors, runs: int, only=None) -> dict:
             continue
         row = {}
         for executor in executors:
-            kwargs = {"parallelism": GATE_PARALLELISM} if executor == "parallel" else {}
             samples = [
-                run_all.run_one(smoke, executor, **kwargs)["elapsed_seconds"]
+                run_all.run_one(smoke, executor)["elapsed_seconds"]
                 for _ in range(runs)
             ]
             row[executor] = round(statistics.median(samples), 4)
